@@ -74,8 +74,8 @@ bench:
 # re-baseline, e.g. `make bench-json BENCH_OUT=tmp.json BENCH_BASE=BENCH_PR6.json`.
 # BENCH_TOLERANCE loosens the timing threshold on a noisy host
 # (`BENCH_TOLERANCE=40 make bench-json`); the counter gates stay strict.
-BENCH_OUT ?= BENCH_PR10.json
-BENCH_BASE ?= BENCH_PR9.json
+BENCH_OUT ?= BENCH_PR12.json
+BENCH_BASE ?= BENCH_PR10.json
 BENCH_TOLERANCE ?= 25
 bench-json:
 	for i in 1 2 3; do $(GO) test -run '^$$' -bench=. -benchmem . ./internal/sim/ || exit 1; done | $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -baseline $(BENCH_BASE) -maxregress $(BENCH_TOLERANCE)

@@ -9,6 +9,7 @@
 package onocsim_test
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"onocsim"
 	"onocsim/internal/config"
 	"onocsim/internal/core"
+	"onocsim/internal/enoc"
 	"onocsim/internal/experiments"
 	"onocsim/internal/noc"
 	"onocsim/internal/trace"
@@ -78,15 +80,35 @@ func BenchmarkR12Hybrid(b *testing.B) { benchTable(b, "r12") }
 // --- Simulator microbenchmarks ---
 
 // benchFabricTick measures the cost of simulating one cycle of a fabric
-// under moderate uniform load.
+// under moderate uniform load. On the mesh it also reports the fabric's work
+// counters per cycle, measured over a fixed-length run so they do not depend
+// on b.N.
 func benchFabricTick(b *testing.B, kind onocsim.NetworkKind) {
+	net, tick := tickWorkload(b, kind)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick(i)
+	}
+	if kind == onocsim.Electrical {
+		b.StopTimer()
+		const cycles = 4096
+		net, tick = tickWorkload(b, kind)
+		for i := 0; i < cycles; i++ {
+			tick(i)
+		}
+		reportMeshWork(b, net.(*enoc.Network).Work(), cycles)
+	}
+}
+
+// tickWorkload builds a 64-core fabric preloaded with traffic and returns a
+// step function that tops the load up every 16 cycles and ticks once.
+func tickWorkload(b *testing.B, kind onocsim.NetworkKind) (onocsim.Network, func(i int)) {
 	cfg := onocsim.DefaultConfig()
 	cfg.System.Cores = 64
 	net, err := onocsim.BuildNetwork(cfg, kind)
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Preload with traffic and keep topping it up.
 	var id uint64
 	inject := func() {
 		for src := 0; src < 64; src += 4 {
@@ -95,13 +117,20 @@ func benchFabricTick(b *testing.B, kind onocsim.NetworkKind) {
 		}
 	}
 	inject()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return net, func(i int) {
 		if i%16 == 0 {
 			inject()
 		}
 		net.Tick()
 	}
+}
+
+// reportMeshWork reports the mesh work counters divided by ops, in the
+// units cmd/benchjson gates on.
+func reportMeshWork(b *testing.B, w enoc.WorkCounters, ops int) {
+	b.ReportMetric(float64(w.RouterCycles)/float64(ops), "router-cycles/op")
+	b.ReportMetric(float64(w.SlotsVisited)/float64(ops), "slots-visited/op")
+	b.ReportMetric(float64(w.FlitsMoved)/float64(ops), "flits-moved/op")
 }
 
 func BenchmarkTickElectrical(b *testing.B) { benchFabricTick(b, onocsim.Electrical) }
@@ -518,18 +547,56 @@ func benchEstimateVsCorrect(b *testing.B, kind onocsim.NetworkKind, estimate boo
 	if err != nil {
 		b.Fatal(err)
 	}
+	var res onocsim.CorrectionResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if estimate {
 			_, _, err = onocsim.EstimateAnalytic(cfg, tr, kind)
 		} else {
-			_, _, err = onocsim.RunSelfCorrection(cfg, tr, kind)
+			res, _, err = onocsim.RunSelfCorrection(cfg, tr, kind)
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(tr.NumEvents()), "events")
+	if kind == onocsim.Electrical && !estimate {
+		b.StopTimer()
+		reportMeshWork(b, meshCorrectionWork(b, cfg, tr, res), 1)
+	}
+}
+
+// meshCorrectionWork reruns one correction loop on a counting fabric
+// factory — the same core call RunSelfCorrection makes for this config — and
+// returns the work counters of every mesh it built. want is the timed run's
+// result, which the counted run must reproduce.
+func meshCorrectionWork(b *testing.B, cfg onocsim.Config, tr *onocsim.Trace, want onocsim.CorrectionResult) enoc.WorkCounters {
+	factory, err := onocsim.NetworkFactory(cfg, onocsim.Electrical)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var nets []*enoc.Network
+	counting := func() noc.Network {
+		n := factory()
+		nets = append(nets, n.(*enoc.Network))
+		return n
+	}
+	got, _, err := core.SelfCorrectParkableCtx(context.Background(), counting, tr, cfg.SCTM, cfg.Parallelism.Shards, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got.TotalCycles != want.TotalCycles || len(got.Iterations) != len(want.Iterations) {
+		b.Fatalf("counted correction diverged: %d cycles in %d rounds, timed run %d in %d",
+			got.TotalCycles, len(got.Iterations), want.TotalCycles, len(want.Iterations))
+	}
+	var w enoc.WorkCounters
+	for _, n := range nets {
+		nw := n.Work()
+		w.RouterCycles += nw.RouterCycles
+		w.SlotsVisited += nw.SlotsVisited
+		w.FlitsMoved += nw.FlitsMoved
+	}
+	return w
 }
 
 // BenchmarkAnalyticEstimate prices the closed-form estimator itself on the

@@ -8,8 +8,9 @@
 // With -maxregress, benchjson also acts as a CI gate: it exits nonzero when
 // any benchmark present in both runs got slower than the allowed percentage.
 // Wall clock on a shared host is the noisiest number a run carries, so the
-// gate leans on the deterministic counters instead: allocs/op, allocs/event
-// and max RSS are gated by the separate, much stricter -counterregress
+// gate leans on the deterministic counters instead: allocs/op, allocs/event,
+// max RSS and the mesh work counters (router-cycles/op, slots-visited/op,
+// flits-moved/op) are gated by the separate, much stricter -counterregress
 // threshold (default 5%), which fires independently of -maxregress. The
 // timing threshold can also be set per-host through the BENCH_TOLERANCE
 // environment variable; an explicit -maxregress flag wins over it.
@@ -40,14 +41,38 @@ import (
 // Result is one benchmark measurement. MaxRSSBytes and AllocsPerEvent come
 // from the repo's memory benchmarks, which report them as the custom units
 // "max-rss-bytes" and "allocs/event"; they are the gate for the streaming
-// replay path's O(window) residency contract.
+// replay path's O(window) residency contract. The Work fields are the
+// electrical mesh's work counters (enoc.WorkCounters), reported per op by
+// the mesh benchmarks as "router-cycles/op", "slots-visited/op" and
+// "flits-moved/op"; they gate switch-allocator changes without timing.
 type Result struct {
-	Iterations     int64   `json:"iterations"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	BytesPerOp     int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp    int64   `json:"allocs_per_op,omitempty"`
-	MaxRSSBytes    int64   `json:"max_rss_bytes,omitempty"`
-	AllocsPerEvent float64 `json:"allocs_per_event,omitempty"`
+	Iterations       int64   `json:"iterations"`
+	NsPerOp          float64 `json:"ns_per_op"`
+	BytesPerOp       int64   `json:"bytes_per_op,omitempty"`
+	AllocsPerOp      int64   `json:"allocs_per_op,omitempty"`
+	MaxRSSBytes      int64   `json:"max_rss_bytes,omitempty"`
+	AllocsPerEvent   float64 `json:"allocs_per_event,omitempty"`
+	WorkRouterCycles float64 `json:"router_cycles_per_op,omitempty"`
+	WorkSlotsVisited float64 `json:"slots_visited_per_op,omitempty"`
+	WorkFlitsMoved   float64 `json:"flits_moved_per_op,omitempty"`
+}
+
+// counterField is one float-valued counter of a Result: its benchmark unit
+// and a pointer to the field holding it.
+type counterField struct {
+	unit string
+	v    *float64
+}
+
+// floatCounters lists the float-valued deterministic counters of r, so
+// parsing, repeat collapsing and gating treat them alike.
+func (r *Result) floatCounters() []counterField {
+	return []counterField{
+		{"allocs/event", &r.AllocsPerEvent},
+		{"router-cycles/op", &r.WorkRouterCycles},
+		{"slots-visited/op", &r.WorkSlotsVisited},
+		{"flits-moved/op", &r.WorkFlitsMoved},
+	}
 }
 
 // Snapshot is the emitted document.
@@ -65,14 +90,15 @@ type Snapshot struct {
 
 // parse reads `go test -bench` output: header key: value lines and benchmark
 // result lines ("BenchmarkName-8  20  105088199 ns/op  ... B/op  ... allocs/op").
-// The memory units "max-rss-bytes" and "allocs/event" are captured; other
-// custom metrics (e.g. "5.000 rows") are ignored. Repeated lines for the
-// same benchmark (from `-count=N`) collapse to the fastest run: on a shared
-// CI host the minimum is the measurement least polluted by scheduler and
-// neighbor noise, and the regression gate should compare code, not load.
-// Memory fields collapse to their own minima across the repeats for the same
-// reason — a GC that a neighbor's load delayed inflates a single repeat's
-// residency, not the code's.
+// The memory units "max-rss-bytes" and "allocs/event" and the mesh work
+// counters are captured; other custom metrics (e.g. "5.000 rows") are
+// ignored. Repeated lines for the same benchmark (from `-count=N`) collapse
+// to the fastest run: on a shared CI host the minimum is the measurement
+// least polluted by scheduler and neighbor noise, and the regression gate
+// should compare code, not load. Memory fields and counters collapse to
+// their own minima across the repeats for the same reason — a GC that a
+// neighbor's load delayed inflates a single repeat's residency, not the
+// code's.
 func parse(r io.Reader) (map[string]Result, map[string]string, error) {
 	results := map[string]Result{}
 	env := map[string]string{}
@@ -117,24 +143,31 @@ func parse(r io.Reader) (map[string]Result, map[string]string, error) {
 			case "max-rss-bytes":
 				v, _ := strconv.ParseFloat(val, 64)
 				res.MaxRSSBytes = int64(v)
-			case "allocs/event":
-				res.AllocsPerEvent, _ = strconv.ParseFloat(val, 64)
+			default:
+				for _, c := range res.floatCounters() {
+					if c.unit == unit {
+						*c.v, _ = strconv.ParseFloat(val, 64)
+					}
+				}
 			}
 		}
 		if res.NsPerOp > 0 {
-			prev, ok := results[name]
-			if ok {
-				// allocs/op collapses to the minimum too: a GC emptying a
-				// sync.Pool mid-repeat inflates one repeat's count, not the
-				// code's, and the jitter is always upward.
-				res.MaxRSSBytes = minNonzero(res.MaxRSSBytes, prev.MaxRSSBytes)
-				res.AllocsPerEvent = minNonzeroF(res.AllocsPerEvent, prev.AllocsPerEvent)
-				res.AllocsPerOp = minNonzero(res.AllocsPerOp, prev.AllocsPerOp)
+			if prev, ok := results[name]; ok {
+				// Timing comes from the faster repeat; every counter
+				// collapses to its own minimum. allocs/op included: a GC
+				// emptying a sync.Pool mid-repeat inflates one repeat's
+				// count, not the code's, and the jitter is always upward.
+				merged := res
 				if prev.NsPerOp < res.NsPerOp {
-					mem := Result{MaxRSSBytes: res.MaxRSSBytes, AllocsPerEvent: res.AllocsPerEvent, AllocsPerOp: res.AllocsPerOp}
-					res = prev
-					res.MaxRSSBytes, res.AllocsPerEvent, res.AllocsPerOp = mem.MaxRSSBytes, mem.AllocsPerEvent, mem.AllocsPerOp
+					merged = prev
 				}
+				merged.MaxRSSBytes = minNonzero(res.MaxRSSBytes, prev.MaxRSSBytes)
+				merged.AllocsPerOp = minNonzero(res.AllocsPerOp, prev.AllocsPerOp)
+				mc, rc, pc := merged.floatCounters(), res.floatCounters(), prev.floatCounters()
+				for i := range mc {
+					*mc[i].v = minNonzeroF(*rc[i].v, *pc[i].v)
+				}
+				res = merged
 			}
 			results[name] = res
 		}
@@ -183,7 +216,7 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	baseline := flag.String("baseline", "", "baseline run to embed: raw `go test -bench` text or a benchjson snapshot")
 	maxRegress := flag.Float64("maxregress", 0, "fail (exit 1) if any benchmark's ns/op regresses more than this percent vs the baseline (0 disables; the BENCH_TOLERANCE env var overrides the value unless the flag is set explicitly)")
-	counterRegress := flag.Float64("counterregress", 5, "fail (exit 1) if a deterministic counter — allocs/op, allocs/event, max RSS — regresses more than this percent vs the baseline (0 disables; gates independently of -maxregress)")
+	counterRegress := flag.Float64("counterregress", 5, "fail (exit 1) if a deterministic counter — allocs/op, allocs/event, max RSS, mesh router-cycles/slots-visited/flits-moved per op — regresses more than this percent vs the baseline (0 disables; gates independently of -maxregress)")
 	table := flag.Bool("table", false, "also render the comparison as an aligned ASCII table on stderr (stdout when -out is set)")
 	flag.Parse()
 	explicit := false
@@ -272,8 +305,8 @@ func comparisonTable(snap Snapshot) *metrics.Table {
 // run converts stdin into a snapshot. A failed regression gate is a runtime
 // failure (exit 1), matching CI conventions; only bad flag values exit 2.
 // maxRegress gates wall clock; counterRegress gates the deterministic
-// counters (allocs/op, allocs/event, max RSS), which are immune to host
-// noise and therefore hold a much tighter line.
+// counters (allocs/op, allocs/event, max RSS, mesh work), which are immune
+// to host noise and therefore hold a much tighter line.
 func run(stdin io.Reader, out, baseline string, maxRegress, counterRegress float64, table bool) error {
 	if maxRegress < 0 {
 		return cliutil.Usagef("negative -maxregress %v (want a percentage >= 0)", maxRegress)
@@ -335,11 +368,13 @@ func run(stdin io.Reader, out, baseline string, maxRegress, counterRegress float
 					name, c.AllocsPerOp, b.AllocsPerOp,
 					(float64(c.AllocsPerOp)/float64(b.AllocsPerOp)-1)*100, counterRegress))
 			}
-			if b.AllocsPerEvent > 0 && c.AllocsPerEvent > b.AllocsPerEvent*limit {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s: %.2f allocs/event vs baseline %.2f allocs/event (+%.1f%%, limit %.0f%%)",
-					name, c.AllocsPerEvent, b.AllocsPerEvent,
-					(c.AllocsPerEvent/b.AllocsPerEvent-1)*100, counterRegress))
+			cc := c.floatCounters()
+			for i, bc := range b.floatCounters() {
+				if bv, cv := *bc.v, *cc[i].v; bv > 0 && cv > bv*limit {
+					regressions = append(regressions, fmt.Sprintf(
+						"%s: %.2f %s vs baseline %.2f %s (+%.1f%%, limit %.0f%%)",
+						name, cv, bc.unit, bv, bc.unit, (cv/bv-1)*100, counterRegress))
+				}
 			}
 			if b.MaxRSSBytes > 0 && c.MaxRSSBytes > 0 &&
 				float64(c.MaxRSSBytes) > float64(b.MaxRSSBytes)*limit {

@@ -323,3 +323,41 @@ func TestSnapshotRecordsGOMAXPROCSWithoutSuffix(t *testing.T) {
 		t.Fatal("snapshot env missing gomaxprocs")
 	}
 }
+
+// TestMeshWorkCounters checks that the mesh work counters are parsed,
+// collapse to their minima across repeats, and gate under the strict
+// counter threshold even when the run got faster.
+func TestMeshWorkCounters(t *testing.T) {
+	out := `BenchmarkTickElectrical-2  1000  9000 ns/op  29.55 flits-moved/op  30.40 router-cycles/op  40.00 slots-visited/op  501 B/op  25 allocs/op
+BenchmarkTickElectrical-2  1000  8000 ns/op  29.55 flits-moved/op  30.40 router-cycles/op  39.28 slots-visited/op  501 B/op  25 allocs/op
+`
+	res, _, err := parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res["BenchmarkTickElectrical"]
+	if r.NsPerOp != 8000 || r.WorkRouterCycles != 30.40 || r.WorkSlotsVisited != 39.28 || r.WorkFlitsMoved != 29.55 {
+		t.Fatalf("parsed %+v", r)
+	}
+
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.json")
+	if err := run(strings.NewReader(out), base, "", 0, 5, false); err != nil {
+		t.Fatal(err)
+	}
+	// Twice as fast, allocation-identical, but the allocator visits 3×
+	// the slots: the counter gate must fire and name the counter.
+	regressed := "BenchmarkTickElectrical-2  1000  4000 ns/op  29.55 flits-moved/op  30.40 router-cycles/op  120.00 slots-visited/op  501 B/op  25 allocs/op\n"
+	err = run(strings.NewReader(regressed), filepath.Join(dir, "out.json"), base, 25, 5, false)
+	if err == nil || !strings.Contains(err.Error(), "slots-visited/op") {
+		t.Fatalf("slots-visited regression not gated: %v", err)
+	}
+	// The same counters pass.
+	if err := run(strings.NewReader(out), filepath.Join(dir, "out2.json"), base, 25, 5, false); err != nil {
+		t.Fatalf("unchanged counters failed the gate: %v", err)
+	}
+	// With the counter gate disabled the regression passes.
+	if err := run(strings.NewReader(regressed), filepath.Join(dir, "out3.json"), base, 25, 0, false); err != nil {
+		t.Fatalf("disabled counter gate still fired: %v", err)
+	}
+}

@@ -52,7 +52,7 @@ func main() {
 		outdir     = flag.String("outdir", "", "also write one CSV file per experiment into this directory")
 		parallel   = flag.Bool("parallel", false, "fan experiments out concurrently, deduplicating shared simulations (tables are byte-identical apart from wall-clock cells)")
 		cachedir   = flag.String("cachedir", "", "persist captured traces here and reload them across invocations (implies result memoization)")
-		shards     = flag.Int("shards", 0, "shard count for replay-family simulations (0: one per CPU; tables are identical for any count)")
+		shards     = flag.Int("shards", 1, "shard count for replay-family simulations (1: serial, the fastest on every measured workload; 0: one per CPU; tables are identical for any count)")
 		incr       = flag.Bool("incremental", false, "resume self-correction rounds from frozen-prefix checkpoints (tables are identical apart from wall-clock and replayed-events cells)")
 		faults     = flag.String("faults", "", "run the kernel experiments under this fault preset: off | light | heavy (R18 sweeps all presets regardless)")
 		seedMode   = flag.String("seedmode", "", "self-correction round-0 seeding for the kernel experiments: zeroload | analytic | fixed (R19 compares the modes regardless); -seed stays the RNG seed")
@@ -66,8 +66,9 @@ func main() {
 	if *csv && *format == "ascii" {
 		*format = "csv"
 	}
-	// Sharded replay is byte-identical to serial for any count, so the
-	// default exploits whatever the host offers.
+	// Sharded replay is byte-identical to serial for any count. The default
+	// is serial, which beat sharded replay on every measured workload; 0
+	// asks for one shard per CPU.
 	if *shards == 0 {
 		*shards = runtime.NumCPU()
 	}

@@ -48,6 +48,19 @@ func main() {
 	os.Exit(cliutil.ExitCode(err))
 }
 
+// Connection timeouts, fixed rather than flags: they bound what a slow or
+// stalled client can hold, not how long a simulation may run.
+// readHeaderTimeout cuts clients that trickle or stall their request headers;
+// readTimeout bounds reading the whole request, body included; idleTimeout
+// closes kept-alive connections with no next request. There is deliberately
+// no write timeout: an SSE stream stays open for as long as its simulation
+// runs, and a write deadline would cut it.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 type options struct {
 	addr     string
 	cacheDir string
@@ -68,7 +81,12 @@ func run(ctx context.Context, o options, onReady func(addr net.Addr)) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "onocsimd: listening on %s\n", ln.Addr())

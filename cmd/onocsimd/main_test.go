@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -143,5 +144,59 @@ func TestDaemonIdleShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("idle daemon did not exit")
+	}
+}
+
+// A client that stalls partway through its request headers is disconnected
+// once the header timeout expires, instead of holding the connection open.
+func TestDaemonDropsStalledHeaders(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, options{addr: "127.0.0.1:0", drain: 10 * time.Second},
+			func(addr net.Addr) { ready <- addr })
+	}()
+	var addr net.Addr
+	select {
+	case addr = <-ready:
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("POST /v1/simulate HTTP/1.1\r\nHost: onocsimd\r\nContent-Type: applic")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	buf := make([]byte, 512)
+	for {
+		if _, err = conn.Read(buf); err != nil {
+			break
+		}
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v", time.Since(start))
+	}
+	// The server starts its header clock when it accepts, a little before
+	// start; half the timeout is slack enough to tell the timeout apart
+	// from an immediate rejection.
+	if held := time.Since(start); held < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, long before the %v header timeout (%v)", held, readHeaderTimeout, err)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown failed: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not exit")
 	}
 }

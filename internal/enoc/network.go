@@ -20,9 +20,13 @@ type Network struct {
 	deliver noc.DeliverFunc
 	stats   *noc.Stats
 	power   powerCounters
+	work    WorkCounters
 
 	routers []*router
 	nis     []*netIface
+	// links counts the unidirectional router-to-router links wired by New,
+	// wraparound links included; the leakage model charges each one.
+	links int
 
 	// selfQ holds Src==Dst messages pending their next-cycle delivery.
 	selfQ []selfMsg
@@ -61,6 +65,25 @@ func (n *Network) newFlit() *flit {
 	return &flit{}
 }
 
+// WorkCounters tallies the simulator's own work in the mesh, as opposed to
+// the modelled events the power counters charge for. They are deterministic
+// for a given traffic history, so benchmarks gate on them instead of on
+// noisy wall time. They accumulate over the fabric's lifetime: Reset and
+// Restore leave them alone, since the work those rewind was still done.
+type WorkCounters struct {
+	// RouterCycles counts router-cycles allocated: cycles in which a
+	// router held buffered flits and ran its switch allocator.
+	RouterCycles uint64
+	// SlotsVisited counts the (input port, VC) slots the switch allocator
+	// examined across all output ports.
+	SlotsVisited uint64
+	// FlitsMoved counts flits granted the crossbar, forwarded or ejected.
+	FlitsMoved uint64
+}
+
+// Work returns the fabric's cumulative work counters.
+func (n *Network) Work() WorkCounters { return n.work }
+
 type selfMsg struct {
 	at  sim.Tick
 	msg *noc.Message
@@ -76,6 +99,10 @@ func New(nodes int, cfg config.Mesh) *Network {
 	if width*width != nodes {
 		panic(fmt.Sprintf("enoc: %d nodes is not a perfect square", nodes))
 	}
+	if cfg.VCs < 1 || cfg.VCs > 16 {
+		// The allocator's occupancy masks hold one bit per VC in a uint16.
+		panic(fmt.Sprintf("enoc: %d VCs out of [1,16]", cfg.VCs))
+	}
 	n := &Network{cfg: cfg, width: width, nodes: nodes, torus: cfg.Topology == "torus", stats: noc.NewStats()}
 	n.routers = make([]*router, nodes)
 	for id := 0; id < nodes; id++ {
@@ -85,6 +112,7 @@ func New(nodes int, cfg config.Mesh) *Network {
 	connect := func(from *router, outPort int, to *router, inPort int, wrap bool) {
 		from.outLink[outPort] = &link{delay: sim.Tick(cfg.LinkCycles), dst: to, dstPort: inPort, wrap: wrap}
 		to.upstream[inPort] = &upstreamRef{r: from, port: outPort}
+		n.links++
 	}
 	for id := 0; id < nodes; id++ {
 		r := n.routers[id]
@@ -250,9 +278,10 @@ func (n *Network) SkipTo(t sim.Tick) {
 }
 
 // Reset implements noc.Resettable: clocks, statistics, power counters,
-// queues, buffers, credits and arbitration pointers all return to their
-// constructor values. The packet/flit free lists survive — they hold only
-// dead state and are the point of reusing the fabric.
+// queues, buffers, occupancy masks, credits and arbitration pointers all
+// return to their constructor values; the work counters keep counting. The
+// packet/flit free lists survive — they hold only dead state and are the
+// point of reusing the fabric.
 func (n *Network) Reset() {
 	n.now = 0
 	n.stats = noc.NewStats()
@@ -266,7 +295,6 @@ func (n *Network) Reset() {
 				b := &r.in[p][v]
 				b.q = b.q[:0]
 				b.owner = nil
-				b.routed = false
 				b.granted = false
 			}
 			for v := range r.outCredit[p] {
@@ -276,8 +304,11 @@ func (n *Network) Reset() {
 			if l := r.outLink[p]; l != nil {
 				l.inflight = l.inflight[:0]
 			}
-			r.rr[p] = 0
+			r.rr[p] = slot{}
 		}
+		r.nonEmpty = [numPorts]uint16{}
+		r.routed = [numPorts]uint16{}
+		r.routedTo = [numPorts][numPorts]uint16{}
 		r.occupancy = 0
 		r.linkLoad = 0
 	}
@@ -349,6 +380,9 @@ func (ni *netIface) enqueue(p *packet) {
 // tryInject pushes at most one flit into the local router this cycle,
 // round-robining across classes for fairness.
 func (ni *netIface) tryInject() {
+	if ni.idle() {
+		return
+	}
 	r := ni.net.routers[ni.node]
 	for k := 0; k < int(noc.NumClasses); k++ {
 		c := noc.Class((ni.rr + k) % int(noc.NumClasses))
@@ -357,6 +391,16 @@ func (ni *netIface) tryInject() {
 			return
 		}
 	}
+}
+
+// idle reports whether the interface has nothing queued or mid-send.
+func (ni *netIface) idle() bool {
+	for c := range ni.classQ {
+		if len(ni.classQ[c]) > 0 || ni.sending[c].pkt != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // injectClass attempts one flit for class c; reports whether a flit moved.

@@ -1,6 +1,7 @@
 package enoc
 
 import (
+	"math"
 	"testing"
 
 	"onocsim/internal/config"
@@ -429,6 +430,23 @@ func TestFlitConservationAfterDrain(t *testing.T) {
 	for _, r := range n.routers {
 		if r.occupancy != 0 || r.linkLoad != 0 {
 			t.Fatalf("router %d occupancy=%d linkLoad=%d after drain", r.id, r.occupancy, r.linkLoad)
+		}
+	}
+}
+
+// TestTorusLeakageCountsWrapLinks: the torus wires 4·w² unidirectional
+// links against the mesh's 4·w·(w−1), so its static power exceeds the mesh's
+// by exactly the leakage of the 4·w wraparound links.
+func TestTorusLeakageCountsWrapLinks(t *testing.T) {
+	for _, nodes := range []int{4, 16, 64} {
+		mesh, torus := New(nodes, meshCfg()), New(nodes, torusCfg())
+		w := mesh.Width()
+		if mesh.links != 4*w*(w-1) || torus.links != 4*w*w {
+			t.Fatalf("%d nodes: links mesh=%d torus=%d, want %d and %d", nodes, mesh.links, torus.links, 4*w*(w-1), 4*w*w)
+		}
+		got := torus.PowerReport(1, 2).StaticMW - mesh.PowerReport(1, 2).StaticMW
+		if want := leakagePerLinkMW * float64(4*w); math.Abs(got-want) > 1e-9 {
+			t.Errorf("%d nodes: torus static power exceeds mesh by %g mW, want %g mW (%d wrap links)", nodes, got, want, 4*w)
 		}
 	}
 }

@@ -49,8 +49,7 @@ func (n *Network) PowerReport(elapsed sim.Tick, clockGHz float64) noc.PowerRepor
 		// pJ / s = 1e-12 W = 1e-9 mW.
 		dynMW = totalPJ * 1e-9 / seconds
 	}
-	numLinks := 2 * 2 * n.width * (n.width - 1) // bidirectional, both dims
-	static := leakagePerRouterMW*float64(n.nodes) + leakagePerLinkMW*float64(numLinks)
+	static := leakagePerRouterMW*float64(n.nodes) + leakagePerLinkMW*float64(n.links)
 	toMW := func(pj float64) float64 {
 		if seconds <= 0 {
 			return 0

@@ -1,6 +1,8 @@
 package enoc
 
 import (
+	"math/bits"
+
 	"onocsim/internal/noc"
 	"onocsim/internal/sim"
 )
@@ -12,15 +14,16 @@ type vcBuf struct {
 	// from head-flit allocation until its tail flit departs.
 	owner *packet
 	// outPort/outVC are the route decision for the owner packet; they are
-	// computed once per packet at this router.
+	// computed once per packet at this router. Whether outPort is valid is
+	// the buffer's bit in the router's routed mask.
 	outPort int
 	outVC   int
-	routed  bool
 	granted bool
 }
 
 // link models a point-to-point channel with a fixed traversal delay. Flits
-// pushed at cycle t surface at the downstream input buffer at t+delay.
+// pushed at cycle t surface at the downstream input buffer at t+delay; the
+// delay is constant, so inflight is a FIFO ordered by arrival time.
 // wrap marks torus wraparound links — the datelines of the VC discipline.
 type link struct {
 	delay    sim.Tick
@@ -55,18 +58,35 @@ type router struct {
 	// has no upstream; the network interface reads buffer state directly.
 	upstream [numPorts]*upstreamRef
 
-	// rr are round-robin arbitration pointers, one per output port, over
-	// the flattened (inputPort, vc) space.
-	rr [numPorts]int
+	// rr are round-robin arbitration pointers, one per output port: the
+	// slot where the next grant search starts, in the flattened
+	// inPort*VCs+vc order.
+	rr [numPorts]slot
 
-	// occupancy counts buffered flits across all input VCs; allocate is
-	// skipped entirely for empty routers, the dominant case at kernel
-	// loads (see BenchmarkTickElectrical).
+	// Occupancy masks over the (input port, VC) slots, one word per input
+	// port with bit v standing for VC v (VCs ≤ 16):
+	//   nonEmpty[p]    — the buffer holds at least one flit;
+	//   routed[p]      — its packet has a route decision at this router;
+	//   routedTo[o][p] — that decision is output port o.
+	// They change only in acceptFlit, popFlit and the route step, and are
+	// rebuilt from buffer state by Reset and Restore. The switch allocator
+	// reads them to visit only the slots that can compete for an output.
+	nonEmpty [numPorts]uint16
+	routed   [numPorts]uint16
+	routedTo [numPorts][numPorts]uint16
+
+	// occupancy counts buffered flits across all input VCs, so allocate
+	// can return at once for an empty router — the dominant case at
+	// kernel loads.
 	occupancy int
 	// linkLoad counts flits in flight on this router's outgoing links so
 	// drainLinks can skip quiet routers.
 	linkLoad int
 }
+
+// slot names one (input port, VC) buffer of a router. The fields are
+// bytes because every router keeps one per output port.
+type slot struct{ port, vc uint8 }
 
 // upstreamRef points back at the fabric element feeding an input port.
 type upstreamRef struct {
@@ -116,35 +136,38 @@ func (r *router) acceptFlit(port, vc int, f *flit) {
 		if b.owner != nil {
 			panic("enoc: head flit arrived on busy VC — allocation protocol violated")
 		}
+		// The previous owner's tail cleared the route and grant state
+		// when it left (popFlit), so the new packet starts unrouted.
 		b.owner = f.pkt
-		b.routed = false
-		b.granted = false
 	}
 	b.q = append(b.q, f)
+	r.nonEmpty[port] |= 1 << vc
 	r.occupancy++
 	r.net.power.bufferWrites++
 }
 
-// drainLinks surfaces link flits whose delay expired.
+// drainLinks surfaces link flits whose delay expired: the ready prefix of
+// each link's FIFO.
 func (r *router) drainLinks() {
 	if r.linkLoad == 0 {
 		return
 	}
+	now := r.net.now
 	for p := 0; p < numPorts; p++ {
 		l := r.outLink[p]
-		if l == nil || len(l.inflight) == 0 {
+		if l == nil {
 			continue
 		}
-		keep := l.inflight[:0]
-		for _, lf := range l.inflight {
-			if lf.at <= r.net.now {
-				l.dst.acceptFlit(l.dstPort, lf.f.vcOnWire, lf.f)
-				r.linkLoad--
-			} else {
-				keep = append(keep, lf)
-			}
+		ready := 0
+		for ready < len(l.inflight) && l.inflight[ready].at <= now {
+			f := l.inflight[ready].f
+			l.dst.acceptFlit(l.dstPort, f.vcOnWire, f)
+			ready++
 		}
-		l.inflight = keep
+		if ready > 0 {
+			r.linkLoad -= ready
+			l.inflight = l.inflight[:copy(l.inflight, l.inflight[ready:])]
+		}
 	}
 }
 
@@ -155,45 +178,125 @@ func (r *router) allocate() {
 	if r.occupancy == 0 {
 		return
 	}
-	vcs := r.net.cfg.VCs
-	slots := numPorts * vcs
-	for outPort := 0; outPort < numPorts; outPort++ {
-		start := r.rr[outPort]
-		for k := 0; k < slots; k++ {
-			s := (start + k) % slots
-			inPort := s / vcs
-			vc := s % vcs
-			if inPort == outPort {
-				continue // U-turns never occur under minimal routing
+	r.net.work.RouterCycles++
+	// Find the slots whose head-of-queue flit has cleared the router
+	// pipeline, and the input ports holding any. No flit arrives during
+	// allocation, so only a grant changes a slot's head; grantFirst then
+	// drops the slot for the rest of the cycle.
+	var ready [numPorts]uint16
+	var busy uint8
+	for in := 0; in < numPorts; in++ {
+		for m := r.nonEmpty[in]; m != 0; m &= m - 1 {
+			vc := bits.TrailingZeros16(m)
+			if r.in[in][vc].q[0].readyAt <= r.net.now {
+				ready[in] |= 1 << vc
 			}
-			b := &r.in[inPort][vc]
-			if len(b.q) == 0 {
-				continue
-			}
-			f := b.q[0]
-			if f.readyAt > r.net.now {
-				continue
-			}
-			if f.isHead && !b.routed {
-				b.outPort = r.route(f.pkt)
-				b.routed = true
-				r.net.power.routeComps++
-			}
-			if b.outPort != outPort {
-				continue
-			}
-			if f.isHead && !b.granted {
-				if !r.grantVC(b, f.pkt) {
-					continue // no free downstream VC this cycle
-				}
-			}
-			if !r.forward(b, f) {
-				continue // no credit this cycle
-			}
-			r.rr[outPort] = (s + 1) % slots
-			break // one flit per output port per cycle
+		}
+		if ready[in] != 0 {
+			busy |= 1 << in
 		}
 	}
+	for out := 0; out < numPorts; out++ {
+		// U-turns never occur under minimal routing.
+		if ins := busy &^ (1 << out); ins != 0 {
+			r.allocateOutput(out, ins, &ready)
+		}
+	}
+}
+
+// allocateOutput grants output port out to at most one (input port, VC)
+// slot among the input ports in ins. Slots are visited in round-robin order
+// over the flattened inPort*VCs+vc space, starting at rr[out]: the start
+// port's VCs from the start VC up, every following port's VCs, then the
+// start port's lower VCs. Only candidates are visited: ready slots routed to
+// out, or holding a head that has no route yet. Every other slot would fail
+// the readiness or port check without side effects, so skipping it changes
+// nothing. An unrouted head is routed when the walk first reaches it,
+// exactly where a walk over all slots would route it: west-first reads the
+// credits and VC state that earlier grants this cycle have already changed.
+func (r *router) allocateOutput(out int, ins uint8, ready *[numPorts]uint16) {
+	firstPort, firstVC := int(r.rr[out].port), r.rr[out].vc
+	// Rotate the port set so bit j stands for input port firstPort+j.
+	rot := (ins>>firstPort | ins<<(numPorts-firstPort)) & (1<<numPorts - 1)
+	for ; rot != 0; rot &= rot - 1 {
+		j := bits.TrailingZeros8(rot)
+		in := firstPort + j
+		if in >= numPorts {
+			in -= numPorts
+		}
+		cand := r.candidates(out, in, ready[in])
+		if j == 0 {
+			cand &^= 1<<firstVC - 1
+		}
+		if r.grantFirst(out, in, cand, ready) {
+			return
+		}
+	}
+	if ins&(1<<firstPort) != 0 {
+		r.grantFirst(out, firstPort, r.candidates(out, firstPort, ready[firstPort])&(1<<firstVC-1), ready)
+	}
+}
+
+// candidates narrows the ready slots of input port in to those that may
+// compete for out.
+func (r *router) candidates(out, in int, ready uint16) uint16 {
+	return ready & (r.routedTo[out][in] | ^r.routed[in])
+}
+
+// grantFirst tries the candidate VCs of input port in, lowest first, and
+// grants out to the first whose flit moves, advancing the round-robin
+// pointer past it. It reports whether a flit moved.
+func (r *router) grantFirst(out, in int, cand uint16, ready *[numPorts]uint16) bool {
+	for ; cand != 0; cand &= cand - 1 {
+		vc := bits.TrailingZeros16(cand)
+		r.net.work.SlotsVisited++
+		if r.trySlot(out, in, vc) {
+			r.net.work.FlitsMoved++
+			r.rr[out] = r.nextSlot(in, vc)
+			// The slot cannot win again this cycle: a buffer holds one
+			// packet at a time (the next head needs the tail gone and
+			// its VC released upstream), and this packet's output port
+			// is spent.
+			ready[in] &^= 1 << vc
+			return true
+		}
+	}
+	return false
+}
+
+// nextSlot returns the slot after (in, vc) in the flattened order, wrapping
+// around at the end.
+func (r *router) nextSlot(in, vc int) slot {
+	if vc++; vc < r.net.cfg.VCs {
+		return slot{uint8(in), uint8(vc)}
+	}
+	if in++; in < numPorts {
+		return slot{uint8(in), 0}
+	}
+	return slot{}
+}
+
+// trySlot runs the allocation pipeline for the ready head-of-queue flit of
+// (in, vc) against output port out: route computation for an unrouted head,
+// VC allocation for an ungranted head, then the crossbar. It reports whether
+// the flit moved.
+func (r *router) trySlot(out, in, vc int) bool {
+	b := &r.in[in][vc]
+	f := b.q[0]
+	bit := uint16(1) << vc
+	if f.isHead && r.routed[in]&bit == 0 {
+		b.outPort = r.route(f.pkt)
+		r.routed[in] |= bit
+		r.routedTo[b.outPort][in] |= bit
+		r.net.power.routeComps++
+	}
+	if b.outPort != out {
+		return false
+	}
+	if f.isHead && !b.granted && !r.grantVC(b, f.pkt) {
+		return false // no free downstream VC this cycle
+	}
+	return r.forward(b, f) // false: no credit this cycle
 }
 
 // grantVC tries to allocate a downstream VC for the packet heading out of
@@ -271,6 +374,10 @@ func (r *router) forward(b *vcBuf, f *flit) bool {
 // upstream and releasing the VC on tail departure.
 func (r *router) popFlit(b *vcBuf, f *flit) {
 	b.q = b.q[1:]
+	bit := uint16(1) << f.vcAtRouter
+	if len(b.q) == 0 {
+		r.nonEmpty[f.inPort] &^= bit
+	}
 	r.occupancy--
 	r.net.power.bufferReads++
 	// Return one credit and, on tail, the VC itself to the upstream
@@ -283,7 +390,8 @@ func (r *router) popFlit(b *vcBuf, f *flit) {
 	}
 	if f.isTail {
 		b.owner = nil
-		b.routed = false
 		b.granted = false
+		r.routed[f.inPort] &^= bit
+		r.routedTo[b.outPort][f.inPort] &^= bit
 	}
 }

@@ -96,7 +96,7 @@ type routerSnap struct {
 	outCredit [numPorts][]int
 	outBusy   [numPorts][]bool
 	link      [numPorts][]linkFlit
-	rr        [numPorts]int
+	rr        [numPorts]slot
 	occupancy int
 	linkLoad  int
 }
@@ -150,7 +150,7 @@ func (n *Network) Snapshot() noc.Snapshot {
 					owner:   cl.pkt(b.owner),
 					outPort: b.outPort,
 					outVC:   b.outVC,
-					routed:  b.routed,
+					routed:  r.routed[p]&(1<<v) != 0,
 					granted: b.granted,
 				}
 			}
@@ -194,6 +194,11 @@ func (n *Network) Restore(s noc.Snapshot) {
 		r.rr = rs.rr
 		r.occupancy = rs.occupancy
 		r.linkLoad = rs.linkLoad
+		// The occupancy masks are an index over buffer state: rebuild
+		// them from the restored buffers rather than snapshotting them.
+		r.nonEmpty = [numPorts]uint16{}
+		r.routed = [numPorts]uint16{}
+		r.routedTo = [numPorts][numPorts]uint16{}
 		for p := 0; p < numPorts; p++ {
 			for v := range r.in[p] {
 				b := &r.in[p][v]
@@ -202,8 +207,15 @@ func (n *Network) Restore(s noc.Snapshot) {
 				b.owner = cl.pkt(bs.owner)
 				b.outPort = bs.outPort
 				b.outVC = bs.outVC
-				b.routed = bs.routed
 				b.granted = bs.granted
+				bit := uint16(1) << v
+				if len(b.q) > 0 {
+					r.nonEmpty[p] |= bit
+				}
+				if bs.routed {
+					r.routed[p] |= bit
+					r.routedTo[b.outPort][p] |= bit
+				}
 			}
 			copy(r.outCredit[p], rs.outCredit[p])
 			copy(r.outBusy[p], rs.outBusy[p])
